@@ -47,6 +47,17 @@ inline double minSeconds(int Repeats, const std::function<void()> &Fn) {
   return Best;
 }
 
+/// The \p Q-quantile (0..1) of \p Samples, linearly interpolated between
+/// the closest ranks. \p Samples must not be empty.
+inline double quantile(std::vector<double> Samples, double Q) {
+  std::sort(Samples.begin(), Samples.end());
+  double Pos = Q * static_cast<double>(Samples.size() - 1);
+  size_t Lo = static_cast<size_t>(Pos);
+  size_t Hi = std::min(Lo + 1, Samples.size() - 1);
+  double Frac = Pos - static_cast<double>(Lo);
+  return Samples[Lo] + Frac * (Samples[Hi] - Samples[Lo]);
+}
+
 inline void printHeader(const char *Title) {
   std::printf("\n================================================================\n");
   std::printf("%s\n", Title);

@@ -29,6 +29,8 @@
 #include <map>
 #include <set>
 #include <string>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 namespace tdl {
@@ -213,6 +215,11 @@ struct PayloadEvent {
 
 /// The interpreter's association table: handle values to payload ops,
 /// parameter values to attributes, and the invalidation set.
+///
+/// A reverse index maps each payload op to the live (not invalidated) op
+/// handles holding it. It is maintained only by the mutators below, so
+/// consume() and replacePayloadOp() cost is proportional to the handles they
+/// affect, not to the payload size or to the number of handles in the map.
 class TransformState {
 public:
   explicit TransformState(Operation *PayloadRoot) : PayloadRoot(PayloadRoot) {}
@@ -226,17 +233,26 @@ public:
   void setPayload(Value Handle, std::vector<Operation *> Ops);
   void setParams(Value Handle, std::vector<Attribute> Params);
 
-  /// Marks \p Handle consumed: it and every handle whose payload ops are
-  /// identical to or nested within its payload become invalidated. Mappings
-  /// are kept readable until overwritten so the consuming transform itself
-  /// can still access its operand.
+  /// Marks \p Handle consumed: it and every other live handle holding one
+  /// of its payload ops or an op nested within them become invalidated.
+  /// Mappings are kept readable until overwritten so the consuming
+  /// transform itself can still access its operand.
+  ///
+  /// The cost scales with the affected handles: nothing beyond the handle
+  /// itself when no other live handle holds ops; otherwise a walk of the
+  /// consumed subtree probing the reverse index, capped at the number of
+  /// indexed ops, after which the parents of each indexed op are walked
+  /// instead. With the event log on (commit workers), the closure of the
+  /// consumed payload is snapshotted for the replayable Consume event, since
+  /// the consuming action may free those ops before the driver replays it.
   void consume(Value Handle);
   bool isInvalidated(Value Handle) const {
     return Invalidated.count(Handle.getImpl()) != 0;
   }
 
-  /// Rewires every mapping of \p Old to \p Replacements (handle tracking
-  /// during pattern application, Section 3.1).
+  /// Rewires every live mapping of \p Old to \p Replacements (handle
+  /// tracking during pattern application, Section 3.1). Touches only the
+  /// handles the reverse index lists for \p Old.
   void replacePayloadOp(Operation *Old,
                         const std::vector<Operation *> &Replacements);
   /// Drops \p Old from every mapping.
@@ -255,11 +271,11 @@ public:
   /// the invalidated bit, losing staleness from earlier waves).
   void adoptBinding(Value Handle, const TransformState &From);
 
-  /// Invalidates every non-invalidated handle holding an op of \p Closure
-  /// (pointer identity only — members of \p Closure are never dereferenced,
-  /// so the set may contain ops that have since been freed). This is the
-  /// alias-invalidation half of consume(), exposed for replaying Consume
-  /// events recorded by commit workers.
+  /// Invalidates every live handle holding an op of \p Closure, with one
+  /// reverse-index lookup per closure op (pointer identity only — members
+  /// of \p Closure are never dereferenced, so the set may contain ops that
+  /// have since been freed). The driver replays commit workers' Consume
+  /// events through this.
   void invalidateAliasesByIdentity(const std::vector<Operation *> &Closure);
 
   /// Starts recording Replace/Consume payload events (worker states of the
@@ -272,10 +288,22 @@ public:
   size_t getNumHandles() const { return HandleMap.size(); }
 
 private:
+  /// Whether \p Impl is an op handle that is not invalidated, i.e. one the
+  /// reverse index lists under each of its payload ops.
+  bool isIndexed(ValueImpl *Impl) const;
+  void addToIndex(ValueImpl *Impl);
+  void removeFromIndex(ValueImpl *Impl);
+  /// Marks \p Impl invalidated and drops it from the reverse index.
+  void invalidate(ValueImpl *Impl);
+  /// Invalidates every live handle holding \p Op.
+  void invalidateHoldersOf(const Operation *Op);
+
   Operation *PayloadRoot;
-  std::map<ValueImpl *, std::vector<Operation *>> HandleMap;
-  std::map<ValueImpl *, std::vector<Attribute>> ParamMap;
-  std::set<ValueImpl *> Invalidated;
+  std::unordered_map<ValueImpl *, std::vector<Operation *>> HandleMap;
+  std::unordered_map<ValueImpl *, std::vector<Attribute>> ParamMap;
+  std::unordered_set<ValueImpl *> Invalidated;
+  /// Reverse index: payload op -> live op handles holding it, each once.
+  std::unordered_map<const Operation *, std::vector<ValueImpl *>> HoldersOf;
   bool EventLogEnabled = false;
   std::vector<PayloadEvent> Events;
 };

@@ -14,6 +14,8 @@
 #include "support/STLExtras.h"
 #include "support/Telemetry.h"
 
+#include <algorithm>
+
 using namespace tdl;
 
 //===----------------------------------------------------------------------===//
@@ -77,60 +79,140 @@ bool TransformState::isParam(Value Handle) const {
   return ParamMap.count(Handle.getImpl()) != 0;
 }
 
+bool TransformState::isIndexed(ValueImpl *Impl) const {
+  return HandleMap.count(Impl) != 0 && Invalidated.count(Impl) == 0;
+}
+
+void TransformState::addToIndex(ValueImpl *Impl) {
+  // Impl is not indexed yet, so an op held twice finds Impl last in its
+  // holder list on the second visit.
+  for (Operation *Op : HandleMap.find(Impl)->second) {
+    std::vector<ValueImpl *> &Holders = HoldersOf[Op];
+    if (Holders.empty() || Holders.back() != Impl)
+      Holders.push_back(Impl);
+  }
+}
+
+void TransformState::removeFromIndex(ValueImpl *Impl) {
+  for (Operation *Op : HandleMap.find(Impl)->second) {
+    auto It = HoldersOf.find(Op);
+    if (It == HoldersOf.end())
+      continue;
+    std::vector<ValueImpl *> &Holders = It->second;
+    auto Pos = std::find(Holders.begin(), Holders.end(), Impl);
+    if (Pos != Holders.end()) {
+      *Pos = Holders.back();
+      Holders.pop_back();
+    }
+    if (Holders.empty())
+      HoldersOf.erase(It);
+  }
+}
+
+void TransformState::invalidate(ValueImpl *Impl) {
+  if (Invalidated.insert(Impl).second && HandleMap.count(Impl))
+    removeFromIndex(Impl);
+}
+
+void TransformState::invalidateHoldersOf(const Operation *Op) {
+  auto It = HoldersOf.find(Op);
+  if (It == HoldersOf.end())
+    return;
+  std::vector<ValueImpl *> Holders = std::move(It->second);
+  HoldersOf.erase(It);
+  for (ValueImpl *Impl : Holders)
+    invalidate(Impl);
+}
+
 void TransformState::setPayload(Value Handle, std::vector<Operation *> Ops) {
-  HandleMap[Handle.getImpl()] = std::move(Ops);
+  ValueImpl *Impl = Handle.getImpl();
+  if (isIndexed(Impl))
+    removeFromIndex(Impl);
+  HandleMap[Impl] = std::move(Ops);
   // A value is either an op handle or a param; rebinding switches kind
   // (e.g. foreach_match actions shared between pairs whose matchers yield
   // different kinds for the same block argument).
-  ParamMap.erase(Handle.getImpl());
-  Invalidated.erase(Handle.getImpl());
+  ParamMap.erase(Impl);
+  Invalidated.erase(Impl);
+  addToIndex(Impl);
 }
 
 void TransformState::setParams(Value Handle, std::vector<Attribute> Params) {
-  ParamMap[Handle.getImpl()] = std::move(Params);
-  HandleMap.erase(Handle.getImpl());
-  Invalidated.erase(Handle.getImpl());
+  ValueImpl *Impl = Handle.getImpl();
+  if (isIndexed(Impl))
+    removeFromIndex(Impl);
+  ParamMap[Impl] = std::move(Params);
+  HandleMap.erase(Impl);
+  Invalidated.erase(Impl);
 }
 
 void TransformState::consume(Value Handle) {
-  auto It = HandleMap.find(Handle.getImpl());
-  Invalidated.insert(Handle.getImpl());
+  ValueImpl *Impl = Handle.getImpl();
+  invalidate(Impl);
+  auto It = HandleMap.find(Impl);
   if (It == HandleMap.end())
     return;
-  // Snapshot the closure of the consumed payload — the ops themselves and
-  // everything nested within them — while the IR is still intact. Alias
-  // invalidation (and, on worker states, the replayable Consume event) then
-  // works by pointer identity over this set, so it never dereferences the
-  // ops again after the consuming transform may have freed them.
-  std::vector<Operation *> Closure;
-  for (Operation *Mine : It->second)
-    Mine->walk([&](Operation *Nested) { Closure.push_back(Nested); });
-  invalidateAliasesByIdentity(Closure);
+  const std::vector<Operation *> &Consumed = It->second;
   if (EventLogEnabled) {
+    // Commit workers snapshot the closure of the consumed payload — the ops
+    // themselves and everything nested within them — while the IR is still
+    // intact: the driver replays the Consume event by pointer identity
+    // after the consuming action may have freed these ops.
     PayloadEvent Event;
     Event.EventKind = PayloadEvent::Kind::Consume;
-    Event.Ops = std::move(Closure);
+    for (Operation *Mine : Consumed)
+      Mine->walk([&](Operation *Nested) { Event.Ops.push_back(Nested); });
+    invalidateAliasesByIdentity(Event.Ops);
     Events.push_back(std::move(Event));
+    return;
   }
+  if (HoldersOf.empty())
+    return;
+  // Probe the reverse index from the consumed subtree while it is no larger
+  // than the set of held ops; past that, walking the parents of each held op
+  // is cheaper. Only the consumed ops and the ops of live handles are
+  // dereferenced, and the consuming transform has not run yet.
+  size_t Budget = HoldersOf.size();
+  bool OverBudget = false;
+  for (Operation *Mine : Consumed) {
+    Mine->walkPre([&](Operation *Nested) {
+      if (HoldersOf.empty())
+        return WalkResult::Interrupt;
+      if (Budget-- == 0) {
+        OverBudget = true;
+        return WalkResult::Interrupt;
+      }
+      invalidateHoldersOf(Nested);
+      return WalkResult::Advance;
+    });
+    if (OverBudget || HoldersOf.empty())
+      break;
+  }
+  if (!OverBudget || HoldersOf.empty())
+    return;
+  std::vector<const Operation *> Roots(Consumed.begin(), Consumed.end());
+  std::sort(Roots.begin(), Roots.end());
+  std::vector<const Operation *> Doomed;
+  for (const auto &Entry : HoldersOf)
+    for (const Operation *Op = Entry.first; Op; Op = Op->getParentOp())
+      if (std::binary_search(Roots.begin(), Roots.end(), Op)) {
+        Doomed.push_back(Entry.first);
+        break;
+      }
+  for (const Operation *Op : Doomed)
+    invalidateHoldersOf(Op);
 }
 
 void TransformState::invalidateAliasesByIdentity(
     const std::vector<Operation *> &Closure) {
-  std::set<const Operation *> InClosure(Closure.begin(), Closure.end());
-  for (auto &[OtherImpl, OtherOps] : HandleMap) {
-    if (Invalidated.count(OtherImpl))
-      continue;
-    for (Operation *Other : OtherOps) {
-      if (InClosure.count(Other)) {
-        Invalidated.insert(OtherImpl);
-        break;
-      }
-    }
-  }
+  for (const Operation *Op : Closure)
+    invalidateHoldersOf(Op);
 }
 
 void TransformState::adoptBinding(Value Handle, const TransformState &From) {
   ValueImpl *Impl = Handle.getImpl();
+  if (isIndexed(Impl))
+    removeFromIndex(Impl);
   auto HandleIt = From.HandleMap.find(Impl);
   if (HandleIt != From.HandleMap.end())
     HandleMap[Impl] = HandleIt->second;
@@ -141,6 +223,8 @@ void TransformState::adoptBinding(Value Handle, const TransformState &From) {
     Invalidated.insert(Impl);
   else
     Invalidated.erase(Impl);
+  if (isIndexed(Impl))
+    addToIndex(Impl);
 }
 
 void TransformState::replacePayloadOp(
@@ -152,9 +236,13 @@ void TransformState::replacePayloadOp(
     Event.Ops = Replacements;
     Events.push_back(std::move(Event));
   }
-  for (auto &[Impl, Ops] : HandleMap) {
-    if (Invalidated.count(Impl))
-      continue;
+  auto It = HoldersOf.find(Old);
+  if (It == HoldersOf.end())
+    return;
+  std::vector<ValueImpl *> Holders = std::move(It->second);
+  HoldersOf.erase(It);
+  for (ValueImpl *Impl : Holders) {
+    std::vector<Operation *> &Ops = HandleMap.find(Impl)->second;
     for (size_t I = 0; I < Ops.size(); ++I) {
       if (Ops[I] != Old)
         continue;
@@ -168,6 +256,11 @@ void TransformState::replacePayloadOp(
                  Replacements.end());
       I += Replacements.size() - 1;
     }
+    for (Operation *New : Replacements) {
+      std::vector<ValueImpl *> &NewHolders = HoldersOf[New];
+      if (!is_contained(NewHolders, Impl))
+        NewHolders.push_back(Impl);
+    }
   }
 }
 
@@ -176,9 +269,12 @@ void TransformState::erasePayloadOp(Operation *Old) {
 }
 
 void TransformState::forget(Value Handle) {
-  HandleMap.erase(Handle.getImpl());
-  ParamMap.erase(Handle.getImpl());
-  Invalidated.erase(Handle.getImpl());
+  ValueImpl *Impl = Handle.getImpl();
+  if (isIndexed(Impl))
+    removeFromIndex(Impl);
+  HandleMap.erase(Impl);
+  ParamMap.erase(Impl);
+  Invalidated.erase(Impl);
 }
 
 //===----------------------------------------------------------------------===//

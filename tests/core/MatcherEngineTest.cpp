@@ -1063,3 +1063,80 @@ TEST_F(MatcherEngineTest, CommitShardedErrorReplaysEarlierPartitionRemarks) {
 }
 
 } // namespace
+
+TEST_F(MatcherEngineTest, CommitShardedTilingInvalidatesHandlesLikeSerial) {
+  // Script-level handles from earlier match.op calls point into functions
+  // whose loops a consuming loop.tile action rewrites. foreach_match
+  // consumes its root handle (the loops), which invalidates every handle
+  // nested in them up front. The per-root pins live in the driver state and
+  // are invalidated only when a worker's Consume event is replayed after
+  // the wave, which empties the updated-root result exactly as the serial
+  // commit does.
+  static const char *const TilingPairs = R"(
+    "transform.named_sequence"() ({
+    ^bb0(%op: !transform.any_op):
+      %0 = "transform.match.operation_name"(%op) {op_names = ["scf.for"]}
+        : (!transform.any_op) -> (!transform.any_op)
+      "transform.yield"() : () -> ()
+    }) {sym_name = "is_loop"} : () -> ()
+    "transform.named_sequence"() ({
+    ^bb0(%loop: !transform.any_op):
+      %t, %p = "transform.loop.tile"(%loop) {tile_sizes = [4 : index]}
+        : (!transform.any_op) -> (!transform.any_op, !transform.any_op)
+      "transform.yield"() : () -> ()
+    }) {sym_name = "tile_it"} : () -> ()
+    "transform.named_sequence"() ({
+    ^bb0(%root: !transform.any_op):
+      %loads = "transform.match.op"(%root) {op_name = "memref.load"}
+        : (!transform.any_op) -> (!transform.any_op)
+      %funcs = "transform.match.op"(%root) {op_name = "func.func"}
+        : (!transform.any_op) -> (!transform.any_op)
+      %loops = "transform.match.op"(%root) {op_name = "scf.for"}
+        : (!transform.any_op) -> (!transform.any_op)
+      %updated = "transform.foreach_match"(%loops)
+        {matchers = [@is_loop], actions = [@tile_it]}
+        : (!transform.any_op) -> (!transform.any_op)
+      "transform.yield"() : () -> ()
+    }) {sym_name = "__transform_main"} : () -> ()
+  )";
+  OwningOpRef Script = makeScriptModule(TilingPairs);
+  ASSERT_TRUE(Script);
+  std::vector<Value> Matched;
+  Value Updated;
+  Script->walk([&](Operation *Op) {
+    if (Op->getName() == "transform.match.op")
+      Matched.push_back(Op->getResult(0));
+    else if (Op->getName() == "transform.foreach_match")
+      Updated = Op->getResult(0);
+  });
+  ASSERT_EQ(Matched.size(), 3u);
+  ASSERT_TRUE(Updated);
+  Value Loads = Matched[0], Funcs = Matched[1], Loops = Matched[2];
+
+  std::string SerialText;
+  for (unsigned NumShards : {1u, 4u}) {
+    OwningOpRef Payload = makeManyFuncPayload(6);
+    ASSERT_TRUE(Payload);
+    TransformOptions Options;
+    Options.CommitShards = NumShards;
+    TransformInterpreter Interp(Payload.get(), Script.get(), Options);
+    ASSERT_TRUE(succeeded(Interp.run()));
+    EXPECT_TRUE(succeeded(verify(Payload.get())));
+    EXPECT_EQ(Interp.NumParallelCommitPartitions, NumShards > 1 ? 6 : 0);
+    const TransformState &State = Interp.getState();
+    EXPECT_TRUE(State.isInvalidated(Loads)) << "shards " << NumShards;
+    EXPECT_TRUE(State.isInvalidated(Loops)) << "shards " << NumShards;
+    EXPECT_FALSE(State.isInvalidated(Funcs)) << "shards " << NumShards;
+    EXPECT_EQ(State.getPayloadOps(Funcs).size(), 6u);
+    EXPECT_TRUE(State.getPayloadOps(Updated).empty())
+        << "every root loop was consumed by its action at shards "
+        << NumShards;
+    EXPECT_EQ(countOps(Payload.get(), "scf.for"), 12);
+    if (NumShards == 1)
+      SerialText = printed(Payload.get());
+    else
+      EXPECT_EQ(printed(Payload.get()), SerialText)
+          << "commit shard count " << NumShards
+          << " diverged from the serial commit";
+  }
+}

@@ -175,9 +175,9 @@ TEST(LatencyHistogramTest, PercentilesSeparateFastAndSlowSamples) {
     D.recordNanos(1000000); // 1 ms
   for (int I = 0; I < 5; ++I)
     D.recordNanos(1000000000); // 1 s
+  MetricsSnapshot Snapshot = MetricsRegistry::instance().snapshot();
   const MetricsSnapshot::DurationValue &V =
-      MetricsRegistry::instance().snapshot().Durations.at(
-          "test.histogram.bimodal");
+      Snapshot.Durations.at("test.histogram.bimodal");
   // p50/p90 sit in the 1 ms bucket (upper bound 2^20-1 ns), p99 reaches the
   // slow mode and clamps to the observed max.
   EXPECT_EQ(percentileNanos(V, 50), 1048575);
@@ -196,9 +196,9 @@ TEST(LatencyHistogramTest, PercentileOfEmptyBucketsIsZero) {
 TEST(LatencyHistogramTest, SingleSampleIsExactViaClamping) {
   DurationStat &D = duration("test.histogram.single");
   D.recordNanos(1500);
+  MetricsSnapshot Snapshot = MetricsRegistry::instance().snapshot();
   const MetricsSnapshot::DurationValue &V =
-      MetricsRegistry::instance().snapshot().Durations.at(
-          "test.histogram.single");
+      Snapshot.Durations.at("test.histogram.single");
   EXPECT_EQ(percentileNanos(V, 50), 1500);
   EXPECT_EQ(percentileNanos(V, 99), 1500);
 }
